@@ -13,8 +13,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -195,6 +197,12 @@ type Engine struct {
 	plan *physical.Plan
 	//waspvet:guardedby topoDirty
 	groups map[groupKey]*group
+	// byOp indexes groups by operator ID, each slice ascending by site.
+	// Every change installs a fresh slice for the operator, so slices
+	// handed out earlier (stageGroups, a reconfiguration's old groups)
+	// stay valid.
+	//waspvet:guardedby topoDirty
+	byOp [][]*group
 	//waspvet:guardedby flowsDirty,flowsEpoch
 	flows map[flowKey]*edgeFlow
 
@@ -509,6 +517,7 @@ func (e *Engine) Stop() {
 // nothing (fresh deployment).
 func (e *Engine) buildGroups() {
 	e.groups = make(map[groupKey]*group)
+	e.byOp = nil
 	e.topoDirty = true
 	for _, id := range detutil.SortedKeys(e.plan.Stages) {
 		st := e.plan.Stages[id]
@@ -543,21 +552,41 @@ func (e *Engine) addGroup(id plan.OpID, site topology.SiteID, tasks int) *group 
 	// there, so frontOps is current).
 	g.front = e.frontOps[g.op.ID]
 	e.groups[groupKey{op: id, site: site}] = g
+	if int(id) >= len(e.byOp) {
+		e.byOp = append(e.byOp, make([][]*group, int(id)+1-len(e.byOp))...)
+	}
+	old := e.byOp[id]
+	i := groupIndex(old, site)
+	e.byOp[id] = slices.Insert(slices.Clip(old), i, g)
 	e.topoDirty = true
 	return g
 }
 
-// opGroups returns the groups of one operator, ascending by site.
+// removeGroup deletes the (id, site) group.
+func (e *Engine) removeGroup(id plan.OpID, site topology.SiteID) {
+	delete(e.groups, groupKey{op: id, site: site})
+	old := e.opGroups(id)
+	if i := groupIndex(old, site); i < len(old) && old[i].site == site {
+		e.byOp[id] = slices.Delete(slices.Clone(old), i, i+1)
+	}
+	e.topoDirty = true
+}
+
+// groupIndex returns the position of site in the site-ascending groups.
+func groupIndex(groups []*group, site topology.SiteID) int {
+	i, _ := slices.BinarySearchFunc(groups, site, func(g *group, s topology.SiteID) int { return cmp.Compare(g.site, s) })
+	return i
+}
+
+// opGroups returns the groups of one operator, ascending by site. The
+// slice is shared: callers must not modify it.
 //
 //waspvet:ordered ascending site index, stable across runs
 func (e *Engine) opGroups(id plan.OpID) []*group {
-	var out []*group
-	for s := 0; s < e.top.N(); s++ {
-		if g, ok := e.groups[groupKey{op: id, site: topology.SiteID(s)}]; ok {
-			out = append(out, g)
-		}
+	if int(id) >= len(e.byOp) {
+		return nil
 	}
-	return out
+	return e.byOp[id]
 }
 
 // tickCount counts every simulation tick executed process-wide, across

@@ -277,7 +277,7 @@ func (e *Engine) finalizeReconfig(rc *reconfiguration, now vclock.Time) {
 		if g.maxProcessedBorn > frontier {
 			frontier = g.maxProcessedBorn
 		}
-		delete(e.groups, groupKey{op: rc.op, site: g.site})
+		e.removeGroup(rc.op, g.site)
 	}
 	e.topoDirty = true // group set and stage placement are about to change
 

@@ -68,8 +68,10 @@ func FromLogical(g *plan.Graph) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Graph: g, Stages: make(map[plan.OpID]*Stage, g.Len())}
-	for _, id := range g.OperatorIDs() {
-		p.Stages[id] = &Stage{Op: g.Operator(id)}
+	stages := make([]Stage, g.Len())
+	for i, id := range g.OperatorIDs() {
+		stages[i].Op = g.Operator(id)
+		p.Stages[id] = &stages[i]
 	}
 	return p, nil
 }

@@ -89,15 +89,30 @@ func planQuery(base *plan.Graph, spec *plan.CombineSpec, top *topology.Topology,
 // bandwidth and workload dozens of times per run, and re-expanding ~10^2
 // variant graphs each round dominated its allocation profile.
 //
-// The cached plans are REUSED across Plan calls: Schedule overwrites
-// their stage placements in place each round. A caller that adopts a
-// candidate's Plan beyond the current round (e.g. deploying it to the
-// engine) must Clone it first, or the next round's Schedule will mutate
-// the adopted plan under the engine's feet.
+// The cached plans are REUSED across Plan calls: each round overwrites
+// their stage placements in place. A caller that adopts a candidate's
+// Plan beyond the current round (e.g. deploying it to the engine) must
+// Clone it first, or the next round will mutate the adopted plan under
+// the engine's feet.
 type Session struct {
 	entries []sessionEntry
-	cands   []Candidate // reused result buffer, re-sliced per Plan call
-	ws      Workspace   // scratch shared by every Plan call's scheduling
+	// prefix is the run of stages that starts every variant's
+	// topological order, up to the first combine node: the sources and
+	// the per-site chains feeding the combine group. Expand clones the
+	// base graph with its IDs and gives combine nodes higher IDs, so the
+	// smallest-ID-first order reaches a combine node only once no base
+	// stage upstream of the group is left. A prefix stage has the same
+	// operator, upstream stages, rates, parallelism and free slots in
+	// every variant, so one round places it once for all of them.
+	prefix []plan.OpID
+	cands  []Candidate // reused result buffer, re-sliced per Plan call
+	ws     Workspace   // scratch shared by every Plan call's scheduling
+
+	// Per-round prefix placement: the variant placed first this round,
+	// its prefix error, and the free slots left after its prefix.
+	prefixFrom  *Plan
+	prefixErr   error
+	prefixAvail []int
 }
 
 // sessionEntry is one cached (variant, plan skeleton) pair.
@@ -115,7 +130,7 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 	}
 	trees := plan.EnumerateTrees(len(spec.Inputs), maxVariants)
 	s := &Session{entries: make([]sessionEntry, 0, len(trees))}
-	for _, tree := range trees {
+	for i, tree := range trees {
 		v, err := spec.Expand(base, tree)
 		if err != nil {
 			return nil, fmt.Errorf("expand %v: %w", tree, err)
@@ -124,6 +139,21 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 		if err != nil {
 			return nil, fmt.Errorf("variant %v: %w", tree, err)
 		}
+		order, err := p.StageIDs()
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			s.prefix = slices.Clone(order)
+		}
+		n := 0
+		for n < len(s.prefix) && n < len(order) && order[n] == s.prefix[n] {
+			if _, combine := v.CombineNodes[order[n]]; combine {
+				break
+			}
+			n++
+		}
+		s.prefix = s.prefix[:n]
 		s.entries = append(s.entries, sessionEntry{variant: v, plan: p})
 	}
 	return s, nil
@@ -131,24 +161,26 @@ func NewSession(base *plan.Graph, spec *plan.CombineSpec, maxVariants int) (*Ses
 
 // Plan runs one planning round over the cached variants: schedule each
 // admissible variant against the current topology/bandwidth, estimate its
-// cost, and rank. The returned candidates (and their Plans) are owned by
-// the session and valid until the next Plan call; Clone any plan that
-// outlives the round.
+// cost, and rank. The shared stage prefix is placed once, for the first
+// admitted variant, and copied into the others. The returned candidates
+// (and their Plans) are owned by the session and valid until the next
+// Plan call; Clone any plan that outlives the round.
 func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*plan.Variant) bool) (*Candidate, []Candidate, error) {
 	wanWeight := cfg.WANWeight
 	if wanWeight == 0 {
 		wanWeight = DefaultWANWeight
 	}
-	sc := cfg.ScheduleConfig
+	sc := cfg.ScheduleConfig.withDefaults(top)
 	if sc.Workspace == nil {
 		sc.Workspace = &s.ws
 	}
+	s.prefixFrom, s.prefixErr = nil, nil
 	candidates := s.cands[:0]
 	for _, e := range s.entries {
 		if admit != nil && !admit(e.variant) {
 			continue
 		}
-		if err := Schedule(e.plan, top, sc); err != nil {
+		if err := s.schedule(e.plan, top, sc); err != nil {
 			if errors.Is(err, placement.ErrInfeasible) {
 				continue // variant not schedulable under current bandwidth
 			}
@@ -173,6 +205,33 @@ func (s *Session) Plan(top *topology.Topology, cfg PlannerConfig, admit func(*pl
 	slices.SortStableFunc(candidates, func(a, b Candidate) int { return cmp.Compare(a.Cost, b.Cost) })
 	best := candidates[0]
 	return &best, candidates, nil
+}
+
+// schedule is Schedule for one of the session's plans. The first plan
+// scheduled in a round places the shared prefix; every later one copies
+// that placement and the free slots it left, then places only its own
+// suffix. cfg must have its defaults applied and a Workspace set.
+func (s *Session) schedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) error {
+	order, err := prepareSchedule(p, top, cfg)
+	if err != nil {
+		return err
+	}
+	ws := cfg.Workspace
+	if s.prefixFrom == nil {
+		s.prefixFrom = p
+		s.prefixErr = placeStages(p, s.prefix, top, cfg)
+		s.prefixAvail = append(s.prefixAvail[:0], ws.avail...)
+	} else if s.prefixErr == nil {
+		for _, id := range s.prefix {
+			st := p.Stages[id]
+			st.Sites = append(st.Sites[:0], s.prefixFrom.Stages[id].Sites...)
+		}
+		copy(ws.avail, s.prefixAvail)
+	}
+	if s.prefixErr != nil {
+		return s.prefixErr
+	}
+	return placeStages(p, order[len(s.prefix):], top, cfg)
 }
 
 // EstimateCost computes the plan's estimated delay-volume (Σ cross-site

@@ -74,20 +74,30 @@ func (cfg *ScheduleConfig) parallelismFor(op *plan.Operator) int {
 // (wrapping placement.ErrInfeasible) if any stage cannot be placed.
 func Schedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) error {
 	c := cfg.withDefaults(top)
-	ws := c.Workspace
-	if ws == nil {
-		ws = &Workspace{}
-		c.Workspace = ws
+	if c.Workspace == nil {
+		c.Workspace = &Workspace{}
 	}
-	order, err := p.StageIDs()
+	order, err := prepareSchedule(p, top, c)
 	if err != nil {
 		return err
 	}
-	if err := p.Graph.ExpectedRatesBuf(c.RateFactor, &ws.rates); err != nil {
-		return err
-	}
-	outBytes := ws.rates.Bytes
+	return placeStages(p, order, top, c)
+}
 
+// prepareSchedule computes the plan's expected stream rates into the
+// workspace and fills ws.avail with every site's slots minus the
+// reservations of the plan's pinned stages. It returns the topological
+// stage order that placeStages walks. cfg must have its defaults applied
+// and a Workspace set.
+func prepareSchedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) ([]plan.OpID, error) {
+	ws := cfg.Workspace
+	order, err := p.StageIDs()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Graph.ExpectedRatesBuf(cfg.RateFactor, &ws.rates); err != nil {
+		return nil, err
+	}
 	avail := ws.avail[:0]
 	for s := 0; s < top.N(); s++ {
 		avail = append(avail, top.Slots(topology.SiteID(s)))
@@ -98,20 +108,29 @@ func Schedule(p *Plan, top *topology.Topology, cfg ScheduleConfig) error {
 	for _, id := range order {
 		op := p.Stages[id].Op
 		if op.PinnedSite != plan.NoSite {
-			avail[op.PinnedSite] -= c.parallelismFor(op)
+			avail[op.PinnedSite] -= cfg.parallelismFor(op)
 		}
 	}
+	return order, nil
+}
 
-	for _, id := range order {
+// placeStages places the given run of stages, in order, against the free
+// slots in ws.avail and the rates prepareSchedule computed, taking each
+// stage's slots out of ws.avail. Stages before the run must already be
+// placed.
+func placeStages(p *Plan, stages []plan.OpID, top *topology.Topology, cfg ScheduleConfig) error {
+	ws := cfg.Workspace
+	avail, outBytes := ws.avail, ws.rates.Bytes
+	for _, id := range stages {
 		st := p.Stages[id]
-		par := c.parallelismFor(st.Op)
+		par := cfg.parallelismFor(st.Op)
 		if par < 1 {
 			return fmt.Errorf("physical: stage %q parallelism %d < 1", st.Op.Name, par)
 		}
 		if st.Op.PinnedSite != plan.NoSite {
 			avail[st.Op.PinnedSite] += par // release this stage's own reservation
 		}
-		pl, err := solveStage(p, id, par, avail, top, c, outBytes, outBytes[id], nil)
+		pl, err := solveStage(p, id, par, avail, top, cfg, outBytes, outBytes[id], nil)
 		if err != nil {
 			return fmt.Errorf("schedule stage %q: %w", st.Op.Name, err)
 		}

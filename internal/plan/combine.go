@@ -3,7 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/bits"
-	"strings"
+	"strconv"
 
 	"github.com/wasp-stream/wasp/internal/detutil"
 )
@@ -21,14 +21,20 @@ func (s LeafSet) Has(i int) bool { return s&(1<<uint(i)) != 0 }
 func (s LeafSet) Count() int { return bits.OnesCount64(uint64(s)) }
 
 // String renders the set as e.g. "{0,2,3}".
-func (s LeafSet) String() string {
-	var parts []string
+func (s LeafSet) String() string { return string(s.appendTo(make([]byte, 0, 16))) }
+
+// appendTo appends the String form of the set to dst.
+func (s LeafSet) appendTo(dst []byte) []byte {
+	dst = append(dst, '{')
 	for i := 0; i < 64; i++ {
 		if s.Has(i) {
-			parts = append(parts, fmt.Sprintf("%d", i))
+			if dst[len(dst)-1] != '{' {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(i), 10)
 		}
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return append(dst, '}')
 }
 
 // Tree is an unordered binary combine tree over leaf indices 0..k-1.
@@ -229,6 +235,7 @@ func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
 	g := base.Clone()
 	v := &Variant{Graph: g, Tree: tree, CombineNodes: make(map[OpID]LeafSet)}
 
+	var name []byte
 	var build func(t *Tree) (OpID, error)
 	build = func(t *Tree) (OpID, error) {
 		if t.IsLeaf() {
@@ -246,7 +253,8 @@ func (spec *CombineSpec) Expand(base *Graph, tree *Tree) (*Variant, error) {
 			return 0, err
 		}
 		node := spec.Template
-		node.Name = fmt.Sprintf("%s%s", spec.Template.Name, t.Set)
+		name = t.Set.appendTo(append(name[:0], spec.Template.Name...))
+		node.Name = string(name)
 		// A combine node's state covers only its subtree's share of the
 		// keyed aggregation state.
 		node.StateBytes = spec.Template.StateBytes * float64(t.Set.Count()) / float64(len(spec.Inputs))

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -293,6 +295,51 @@ func TestStatefulLeafSets(t *testing.T) {
 	for _, s := range sets {
 		if !want[s] {
 			t.Fatalf("unexpected leaf set %v", s)
+		}
+	}
+}
+
+// fmtLeafSetString is the fmt-based LeafSet.String the byte-building one
+// replaced; rendered names must not change.
+func fmtLeafSetString(s LeafSet) string {
+	var parts []string
+	for i := 0; i < 64; i++ {
+		if s.Has(i) {
+			parts = append(parts, fmt.Sprintf("%d", i))
+		}
+	}
+	return "{" + strings.Join(parts, ",") + "}"
+}
+
+func TestLeafSetStringMatchesFmt(t *testing.T) {
+	sets := []LeafSet{0, 1, 0b1101, 1 << 63, 1<<63 | 1, 0b1111111111, ^LeafSet(0)}
+	for x := uint64(0x9e3779b97f4a7c15); len(sets) < 64; x = x*6364136223846793005 + 1442695040888963407 {
+		sets = append(sets, LeafSet(x>>uint(x%64)))
+	}
+	for _, s := range sets {
+		if got, want := s.String(), fmtLeafSetString(s); got != want {
+			t.Fatalf("LeafSet(%#x).String() = %q, want %q", uint64(s), got, want)
+		}
+	}
+	for s, want := range map[LeafSet]string{0: "{}", 1: "{0}", 0b1101: "{0,2,3}", 1 << 63: "{63}"} {
+		if got := s.String(); got != want {
+			t.Fatalf("LeafSet(%#x).String() = %q, want %q", uint64(s), got, want)
+		}
+	}
+}
+
+func TestExpandCombineNamesMatchFmt(t *testing.T) {
+	base, spec := fig5Base(t)
+	for _, tree := range EnumerateTrees(len(spec.Inputs), 0) {
+		v, err := spec.Expand(base, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, set := range v.CombineNodes {
+			want := fmt.Sprintf("%s%s", spec.Template.Name, fmtLeafSetString(set))
+			if got := v.Graph.Operator(id).Name; got != want {
+				t.Fatalf("tree %v: combine node %d named %q, want %q", tree, id, got, want)
+			}
 		}
 	}
 }

@@ -6,11 +6,11 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
 
-	"github.com/wasp-stream/wasp/internal/detutil"
 	"github.com/wasp-stream/wasp/internal/topology"
 )
 
@@ -107,10 +107,15 @@ type Operator struct {
 
 // Graph is a logical plan: a DAG of operators. The zero value is empty and
 // ready to use via AddOperator/Connect.
+//
+// Operator IDs are assigned densely from 0, so the graph is stored in
+// slices indexed by OpID. A removed operator leaves a nil hole; IDs are
+// never reused.
 type Graph struct {
-	ops    map[OpID]*Operator
-	down   map[OpID][]OpID
-	up     map[OpID][]OpID
+	ops    []*Operator
+	down   [][]OpID
+	up     [][]OpID
+	live   int // non-nil entries of ops
 	nextID OpID
 
 	// Structure-derived caches, invalidated by every structural mutation
@@ -133,13 +138,7 @@ func (g *Graph) mutated() {
 }
 
 // NewGraph returns an empty logical plan.
-func NewGraph() *Graph {
-	return &Graph{
-		ops:  make(map[OpID]*Operator),
-		down: make(map[OpID][]OpID),
-		up:   make(map[OpID][]OpID),
-	}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // AddOperator inserts op into the graph, assigning and returning its ID.
 // The operator struct is copied; the caller's value is not retained.
@@ -150,23 +149,32 @@ func (g *Graph) AddOperator(op Operator) OpID {
 	if op.Kind != KindSource && op.Kind != KindSink {
 		op.PinnedSite = NoSite
 	}
-	g.ops[id] = &op
+	g.ops = append(g.ops, &op)
+	g.down = append(g.down, nil)
+	g.up = append(g.up, nil)
+	g.live++
 	g.mutated()
 	return id
 }
 
+// has reports whether id names a live operator.
+func (g *Graph) has(id OpID) bool { return id >= 0 && int(id) < len(g.ops) && g.ops[id] != nil }
+
 // Operator returns the operator with the given ID, or nil.
-func (g *Graph) Operator(id OpID) *Operator { return g.ops[id] }
+func (g *Graph) Operator(id OpID) *Operator {
+	if id < 0 || int(id) >= len(g.ops) {
+		return nil
+	}
+	return g.ops[id]
+}
 
 // Connect adds a dataflow edge from→to. Duplicate edges are rejected.
 func (g *Graph) Connect(from, to OpID) error {
-	if g.ops[from] == nil || g.ops[to] == nil {
+	if !g.has(from) || !g.has(to) {
 		return fmt.Errorf("plan: connect %d->%d: unknown operator", from, to)
 	}
-	for _, d := range g.down[from] {
-		if d == to {
-			return fmt.Errorf("plan: duplicate edge %d->%d", from, to)
-		}
+	if slices.Contains(g.down[from], to) {
+		return fmt.Errorf("plan: duplicate edge %d->%d", from, to)
 	}
 	g.down[from] = append(g.down[from], to)
 	g.up[to] = append(g.up[to], from)
@@ -185,35 +193,51 @@ func (g *Graph) MustConnect(from, to OpID) {
 // Downstream returns the IDs of the operators consuming op's output.
 //
 //waspvet:ordered edge-insertion order; plan construction is deterministic
-func (g *Graph) Downstream(id OpID) []OpID { return append([]OpID(nil), g.down[id]...) }
+func (g *Graph) Downstream(id OpID) []OpID { return append([]OpID(nil), g.DownstreamView(id)...) }
 
 // Upstream returns the IDs of the operators feeding op.
 //
 //waspvet:ordered edge-insertion order; plan construction is deterministic
-func (g *Graph) Upstream(id OpID) []OpID { return append([]OpID(nil), g.up[id]...) }
+func (g *Graph) Upstream(id OpID) []OpID { return append([]OpID(nil), g.UpstreamView(id)...) }
 
 // DownstreamView is Downstream without the defensive copy. The returned
 // slice aliases graph internals: read-only, valid until the next mutation.
 //
 //waspvet:ordered edge-insertion order; plan construction is deterministic
-func (g *Graph) DownstreamView(id OpID) []OpID { return g.down[id] }
+func (g *Graph) DownstreamView(id OpID) []OpID {
+	if id < 0 || int(id) >= len(g.down) {
+		return nil
+	}
+	return g.down[id]
+}
 
 // UpstreamView is Upstream without the defensive copy. The returned slice
 // aliases graph internals: read-only, valid until the next mutation.
 //
 //waspvet:ordered edge-insertion order; plan construction is deterministic
-func (g *Graph) UpstreamView(id OpID) []OpID { return g.up[id] }
+func (g *Graph) UpstreamView(id OpID) []OpID {
+	if id < 0 || int(id) >= len(g.up) {
+		return nil
+	}
+	return g.up[id]
+}
 
 // Len returns the number of operators.
-func (g *Graph) Len() int { return len(g.ops) }
+func (g *Graph) Len() int { return g.live }
 
 // OperatorIDs returns all operator IDs in ascending order. The returned
 // slice is cached; callers must not modify it.
 //
-//waspvet:ordered ascending operator ID (sorted keys)
+//waspvet:ordered ascending operator ID
 func (g *Graph) OperatorIDs() []OpID {
 	if !g.idsValid {
-		g.idsCache = detutil.SortedKeys(g.ops)
+		ids := make([]OpID, 0, g.live)
+		for id, op := range g.ops {
+			if op != nil {
+				ids = append(ids, OpID(id))
+			}
+		}
+		g.idsCache = ids
 		g.idsValid = true
 	}
 	return g.idsCache
@@ -250,35 +274,37 @@ func (g *Graph) TopoOrder() ([]OpID, error) {
 	return g.topoCache, g.topoErr
 }
 
+// computeTopo is Kahn's algorithm that always emits the smallest ready ID
+// next. The ready list is kept sorted in descending order, so the next ID
+// pops off its end.
 func (g *Graph) computeTopo() ([]OpID, error) {
-	indeg := make(map[OpID]int, len(g.ops))
-	for id := range g.ops {
-		indeg[id] = len(g.up[id])
-	}
+	indeg := make([]int, len(g.ops))
 	var ready []OpID
-	for _, id := range detutil.SortedKeys(indeg) {
+	for id := len(g.ops) - 1; id >= 0; id-- {
+		if g.ops[id] == nil {
+			continue
+		}
+		indeg[id] = len(g.up[id])
 		if indeg[id] == 0 {
-			ready = append(ready, id)
+			ready = append(ready, OpID(id))
 		}
 	}
 
-	order := make([]OpID, 0, len(g.ops))
+	order := make([]OpID, 0, g.live)
 	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
+		id := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
 		order = append(order, id)
-		var unlocked []OpID
 		for _, d := range g.down[id] {
 			indeg[d]--
 			if indeg[d] == 0 {
-				unlocked = append(unlocked, d)
+				i, _ := slices.BinarySearchFunc(ready, d, func(x, t OpID) int { return cmp.Compare(t, x) })
+				ready = slices.Insert(ready, i, d)
 			}
 		}
-		ready = append(ready, unlocked...)
-		slices.Sort(ready)
 	}
-	if len(order) != len(g.ops) {
-		return nil, fmt.Errorf("plan: graph has a cycle (%d of %d ordered)", len(order), len(g.ops))
+	if len(order) != g.live {
+		return nil, fmt.Errorf("plan: graph has a cycle (%d of %d ordered)", len(order), g.live)
 	}
 	return order, nil
 }
@@ -288,7 +314,7 @@ func (g *Graph) computeTopo() ([]OpID, error) {
 // every other operator has at least one input and one output; sources are
 // pinned to a site; selectivities and sizes are non-negative.
 func (g *Graph) Validate() error {
-	if len(g.ops) == 0 {
+	if g.live == 0 {
 		return fmt.Errorf("plan: empty graph")
 	}
 	if _, err := g.TopoOrder(); err != nil {
@@ -331,40 +357,71 @@ func (g *Graph) Validate() error {
 }
 
 // Clone returns a deep copy of the graph. Operator IDs are preserved.
+// The copied operators share one block, and so do the copied edge lists;
+// each edge list is capped at its length, so a later Connect reallocates
+// it rather than writing into its neighbour's.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	c.nextID = g.nextID
+	c := &Graph{
+		ops:    make([]*Operator, len(g.ops)),
+		down:   make([][]OpID, len(g.down)),
+		up:     make([][]OpID, len(g.up)),
+		live:   g.live,
+		nextID: g.nextID,
+	}
+	edges := 0
 	for id, op := range g.ops {
-		cp := *op
-		c.ops[id] = &cp
+		if op != nil {
+			edges += len(g.down[id]) + len(g.up[id])
+		}
 	}
-	for id, ds := range g.down {
-		c.down[id] = append([]OpID(nil), ds...)
-	}
-	for id, us := range g.up {
-		c.up[id] = append([]OpID(nil), us...)
+	opBuf := make([]Operator, 0, g.live)
+	edgeBuf := make([]OpID, 0, edges)
+	for id, op := range g.ops {
+		if op == nil {
+			continue
+		}
+		opBuf = append(opBuf, *op)
+		c.ops[id] = &opBuf[len(opBuf)-1]
+		c.down[id], edgeBuf = cloneEdges(edgeBuf, g.down[id])
+		c.up[id], edgeBuf = cloneEdges(edgeBuf, g.up[id])
 	}
 	return c
 }
 
+// cloneEdges appends ids to buf and returns the copy, capped at its
+// length, and the grown buf. An empty list copies to nil.
+func cloneEdges(buf, ids []OpID) (cp, rest []OpID) {
+	if len(ids) == 0 {
+		return nil, buf
+	}
+	n := len(buf)
+	buf = append(buf, ids...)
+	return buf[n:len(buf):len(buf)], buf
+}
+
 // RemoveEdge deletes the from→to edge if present.
 func (g *Graph) RemoveEdge(from, to OpID) {
-	g.down[from] = removeID(g.down[from], to)
-	g.up[to] = removeID(g.up[to], from)
+	if g.has(from) && g.has(to) {
+		g.down[from] = removeID(g.down[from], to)
+		g.up[to] = removeID(g.up[to], from)
+	}
 	g.mutated()
 }
 
-// RemoveOperator deletes an operator and all its edges.
+// RemoveOperator deletes an operator and all its edges, leaving a hole at
+// its ID.
 func (g *Graph) RemoveOperator(id OpID) {
-	for _, d := range append([]OpID(nil), g.down[id]...) {
-		g.RemoveEdge(id, d)
+	if !g.has(id) {
+		return
 	}
-	for _, u := range append([]OpID(nil), g.up[id]...) {
-		g.RemoveEdge(u, id)
+	for _, d := range g.down[id] {
+		g.up[d] = removeID(g.up[d], id)
 	}
-	delete(g.ops, id)
-	delete(g.down, id)
-	delete(g.up, id)
+	for _, u := range g.up[id] {
+		g.down[u] = removeID(g.down[u], id)
+	}
+	g.ops[id], g.down[id], g.up[id] = nil, nil, nil
+	g.live--
 	g.mutated()
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -277,5 +278,106 @@ func TestKindString(t *testing.T) {
 	}
 	if got := Kind(99).String(); got != "Kind(99)" {
 		t.Fatalf("unknown Kind String = %q", got)
+	}
+}
+
+// TestRemovedOperatorLeavesHole pins the graph's behaviour around a
+// removed operator's ID and around IDs it never had.
+func TestRemovedOperatorLeavesHole(t *testing.T) {
+	g, ids := linearGraph(t)
+	g.RemoveOperator(ids[1])
+	g.RemoveOperator(ids[1]) // a second removal is a no-op
+	g.RemoveOperator(99)
+	if g.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", g.Len())
+	}
+	if got, want := g.OperatorIDs(), []OpID{ids[0], ids[2], ids[3]}; !slices.Equal(got, want) {
+		t.Fatalf("OperatorIDs = %v, want %v", got, want)
+	}
+	for _, id := range []OpID{ids[1], 4, 99, -1} {
+		if g.Operator(id) != nil {
+			t.Fatalf("Operator(%d) != nil", id)
+		}
+		if d, u := g.Downstream(id), g.Upstream(id); d != nil || u != nil {
+			t.Fatalf("op %d: Downstream %v, Upstream %v, want nil", id, d, u)
+		}
+		if d, u := g.DownstreamView(id), g.UpstreamView(id); d != nil || u != nil {
+			t.Fatalf("op %d: DownstreamView %v, UpstreamView %v, want nil", id, d, u)
+		}
+		if err := g.Connect(ids[0], id); err == nil {
+			t.Fatalf("Connect to op %d succeeded", id)
+		}
+	}
+	g.RemoveEdge(ids[1], ids[2]) // edges of unknown operators: no-op
+	g.RemoveEdge(ids[0], 99)
+
+	// A clone keeps the hole; new IDs continue after it.
+	c := g.Clone()
+	if c.Len() != 3 || c.Operator(ids[1]) != nil || !slices.Equal(c.OperatorIDs(), g.OperatorIDs()) {
+		t.Fatalf("clone: Len %d, OperatorIDs %v", c.Len(), c.OperatorIDs())
+	}
+	if nid := c.AddOperator(Operator{Name: "x", Kind: KindMap}); nid != ids[3]+1 {
+		t.Fatalf("clone assigned ID %d, want %d", nid, ids[3]+1)
+	}
+	// Rewire around the hole: the graph stays valid.
+	g.MustConnect(ids[0], ids[2])
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	order, err := g.TopoOrder()
+	if err != nil || !slices.Equal(order, []OpID{ids[0], ids[2], ids[3]}) {
+		t.Fatalf("TopoOrder = %v, %v", order, err)
+	}
+}
+
+// TestCloneEdgeListsIndependent checks that growing a clone's edge lists
+// touches neither the original nor the clone's other lists, which share
+// one backing block.
+func TestCloneEdgeListsIndependent(t *testing.T) {
+	g := NewGraph()
+	a := g.AddOperator(Operator{Name: "a", Kind: KindSource, PinnedSite: 0})
+	b := g.AddOperator(Operator{Name: "b", Kind: KindMap})
+	c := g.AddOperator(Operator{Name: "c", Kind: KindMap})
+	d := g.AddOperator(Operator{Name: "d", Kind: KindSink, PinnedSite: 0})
+	g.MustConnect(a, b)
+	g.MustConnect(a, c)
+	g.MustConnect(b, d)
+	g.MustConnect(c, d)
+
+	cl := g.Clone()
+	x := cl.AddOperator(Operator{Name: "x", Kind: KindMap})
+	cl.MustConnect(a, x)
+	cl.MustConnect(b, x)
+	cl.MustConnect(x, d)
+	for _, tc := range []struct {
+		g          *Graph
+		id         OpID
+		down, upTo []OpID
+	}{
+		{g, a, []OpID{b, c}, nil},
+		{g, b, []OpID{d}, []OpID{a}},
+		{g, d, nil, []OpID{b, c}},
+		{cl, a, []OpID{b, c, x}, nil},
+		{cl, b, []OpID{d, x}, []OpID{a}},
+		{cl, c, []OpID{d}, []OpID{a}},
+		{cl, d, nil, []OpID{b, c, x}},
+	} {
+		if got := tc.g.DownstreamView(tc.id); !slices.Equal(got, tc.down) {
+			t.Fatalf("Downstream(%d) = %v, want %v", tc.id, got, tc.down)
+		}
+		if got := tc.g.UpstreamView(tc.id); !slices.Equal(got, tc.upTo) {
+			t.Fatalf("Upstream(%d) = %v, want %v", tc.id, got, tc.upTo)
+		}
+	}
+}
+
+// TestZeroGraphUsable checks that the zero Graph accepts operators.
+func TestZeroGraphUsable(t *testing.T) {
+	var g Graph
+	a := g.AddOperator(Operator{Name: "a", Kind: KindSource, PinnedSite: 0})
+	b := g.AddOperator(Operator{Name: "b", Kind: KindSink, PinnedSite: 0})
+	g.MustConnect(a, b)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

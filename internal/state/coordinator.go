@@ -72,14 +72,14 @@ func NewManualCoordinator(store *Store, onError func(error)) *Coordinator {
 // Register adds (or replaces, keyed by job/operator/task) a checkpoint
 // target.
 func (c *Coordinator) Register(t Target) {
-	key := Ref{Job: t.Job, Operator: t.Operator, Task: t.Task}.taskKey()
+	key := taskKey(t.Job, t.Operator, t.Task)
 	cp := t
 	c.targets[key] = &cp
 }
 
 // Unregister removes a target; its existing checkpoints remain stored.
 func (c *Coordinator) Unregister(job, operator string, task int) {
-	delete(c.targets, Ref{Job: job, Operator: operator, Task: task}.taskKey())
+	delete(c.targets, taskKey(job, operator, task))
 }
 
 // Targets returns the number of registered targets.
@@ -116,7 +116,7 @@ func (c *Coordinator) Checkpoint() {
 		}
 		for _, site := range sites {
 			ref := Ref{Job: t.Job, Operator: t.Operator, Task: t.Task, Epoch: c.epoch, Site: site}
-			if err := c.store.Put(ref, data); err != nil && c.onError != nil {
+			if err := c.store.put(key, ref, data); err != nil && c.onError != nil {
 				c.onError(err)
 			}
 		}

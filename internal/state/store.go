@@ -8,6 +8,7 @@ package state
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"sync"
 
 	"github.com/wasp-stream/wasp/internal/detutil"
@@ -30,8 +31,9 @@ type Ref struct {
 	Size int64
 }
 
-func (r Ref) taskKey() string {
-	return fmt.Sprintf("%s/%s/%d", r.Job, r.Operator, r.Task)
+// taskKey names one task's snapshots: "job/operator/task".
+func taskKey(job, operator string, task int) string {
+	return job + "/" + operator + "/" + strconv.Itoa(task)
 }
 
 // Store is an in-memory, site-aware checkpoint store. It retains every
@@ -57,9 +59,13 @@ func NewStore() *Store {
 // already hold it (checkpoint replication writes the same round to the
 // task's own site and to replica sites).
 func (s *Store) Put(ref Ref, data []byte) error {
+	return s.put(taskKey(ref.Job, ref.Operator, ref.Task), ref, data)
+}
+
+// put is Put with the ref's task key already built.
+func (s *Store) put(key string, ref Ref, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := ref.taskKey()
 	es := s.snaps[key]
 	if len(es) > 0 {
 		last := es[len(es)-1].ref
@@ -85,7 +91,7 @@ func (s *Store) Put(ref Ref, data []byte) error {
 func (s *Store) Latest(job, operator string, task int) (Ref, []byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := Ref{Job: job, Operator: operator, Task: task}.taskKey()
+	key := taskKey(job, operator, task)
 	es := s.snaps[key]
 	if len(es) == 0 {
 		return Ref{}, nil, false
@@ -102,7 +108,7 @@ func (s *Store) Latest(job, operator string, task int) (Ref, []byte, bool) {
 func (s *Store) LatestAt(job, operator string, task int, site topology.SiteID) (Ref, []byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := Ref{Job: job, Operator: operator, Task: task}.taskKey()
+	key := taskKey(job, operator, task)
 	es := s.snaps[key]
 	for i := len(es) - 1; i >= 0; i-- {
 		if es[i].ref.Site == site {
@@ -123,7 +129,7 @@ func (s *Store) LatestAt(job, operator string, task int, site topology.SiteID) (
 func (s *Store) LatestExcluding(job, operator string, task int, excluded ...topology.SiteID) (Ref, []byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := Ref{Job: job, Operator: operator, Task: task}.taskKey()
+	key := taskKey(job, operator, task)
 	es := s.snaps[key]
 scan:
 	for i := len(es) - 1; i >= 0; i-- {
@@ -143,7 +149,7 @@ scan:
 func (s *Store) Prune(job, operator string, task int, keepEpoch int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := Ref{Job: job, Operator: operator, Task: task}.taskKey()
+	key := taskKey(job, operator, task)
 	es := s.snaps[key]
 	kept := es[:0]
 	for _, e := range es {
