@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 )
 
@@ -159,6 +160,7 @@ func GenerateScale(cfg ScaleConfig) (*Topology, error) {
 
 	sites := make([]Site, 0, n)
 	regionOf := make([]RegionID, 0, n)
+	edge := make([]bool, n)
 	intn := func(lo, hi int) int {
 		if hi <= lo {
 			return lo
@@ -168,15 +170,16 @@ func GenerateScale(cfg ScaleConfig) (*Topology, error) {
 	for r := 0; r < R; r++ {
 		sites = append(sites, Site{
 			ID:    SiteID(len(sites)),
-			Name:  fmt.Sprintf("r%d-hub", r),
+			Name:  "r" + strconv.Itoa(r) + "-hub",
 			Kind:  DataCenter,
 			Slots: cfg.HubSlots,
 		})
 		regionOf = append(regionOf, RegionID(r))
 		for i := 0; i < S; i++ {
+			edge[len(sites)] = true
 			sites = append(sites, Site{
 				ID:    SiteID(len(sites)),
-				Name:  fmt.Sprintf("r%d-edge-%d", r, i+1),
+				Name:  "r" + strconv.Itoa(r) + "-edge-" + strconv.Itoa(i+1),
 				Kind:  Edge,
 				Slots: intn(cfg.EdgeSlotsMin, cfg.EdgeSlotsMax),
 				Users: intn(cfg.UsersPerEdgeMin, cfg.UsersPerEdgeMax),
@@ -187,19 +190,15 @@ func GenerateScale(cfg ScaleConfig) (*Topology, error) {
 	for i := 0; i < cfg.CoreDCs; i++ {
 		sites = append(sites, Site{
 			ID:    SiteID(len(sites)),
-			Name:  fmt.Sprintf("core-%d", i+1),
+			Name:  "core-" + strconv.Itoa(i+1),
 			Kind:  DataCenter,
 			Slots: cfg.CoreSlots,
 		})
 		regionOf = append(regionOf, RegionID(R))
 	}
 
-	lat := make([][]time.Duration, n)
-	bw := make([][]Mbps, n)
-	for i := range lat {
-		lat[i] = make([]time.Duration, n)
-		bw[i] = make([]Mbps, n)
-	}
+	lat := make([]time.Duration, n*n)
+	bw := make([]Mbps, n*n)
 	uniformDur := func(lo, hi time.Duration) time.Duration {
 		if hi <= lo {
 			return lo
@@ -220,12 +219,22 @@ func GenerateScale(cfg ScaleConfig) (*Topology, error) {
 	if maxHop < 1 {
 		maxHop = 1
 	}
+	// Inter-region base latency by ring distance (hop ≤ R/2).
+	hopLat := make([]time.Duration, R/2+1)
+	for hop := range hopLat {
+		hopLat[hop] = cfg.InterLatMin +
+			time.Duration(float64(cfg.InterLatMax-cfg.InterLatMin)*float64(hop)/float64(maxHop))
+	}
+	// Every output depends on the draw order: pairs in (i, j>i) order,
+	// each filling both directions.
 	for i := 0; i < n; i++ {
-		lat[i][i] = cfg.IntraSiteLat
-		bw[i][i] = cfg.IntraSiteBW
+		ri, iEdge := regionOf[i], edge[i]
+		latRow, bwRow := lat[i*n:(i+1)*n], bw[i*n:(i+1)*n]
+		latRow[i] = cfg.IntraSiteLat
+		bwRow[i] = cfg.IntraSiteBW
 		for j := i + 1; j < n; j++ {
-			ri, rj := regionOf[i], regionOf[j]
-			anyEdge := sites[i].Kind == Edge || sites[j].Kind == Edge
+			rj := regionOf[j]
+			anyEdge := iEdge || edge[j]
 			var b Mbps
 			var l time.Duration
 			switch {
@@ -252,24 +261,29 @@ func GenerateScale(cfg ScaleConfig) (*Topology, error) {
 				if wrap := R - hop; wrap < hop {
 					hop = wrap
 				}
-				base := cfg.InterLatMin +
-					time.Duration(float64(cfg.InterLatMax-cfg.InterLatMin)*float64(hop)/float64(maxHop))
 				jitter := 0.9 + 0.2*rng.Float64()
-				l = time.Duration(float64(base) * jitter)
+				l = time.Duration(float64(hopLat[hop]) * jitter)
 			}
-			bw[i][j] = b
-			lat[i][j] = l
+			bwRow[j] = b
+			latRow[j] = l
 			// Reverse direction: correlated but asymmetric bandwidth;
 			// propagation delay is symmetric.
 			rb := Mbps(float64(b) * (1 + (rng.Float64()*2-1)*cfg.AsymmetryMax))
 			if rb < 0.1 {
 				rb = 0.1
 			}
-			bw[j][i] = rb
-			lat[j][i] = l
+			bw[j*n+i] = rb
+			lat[j*n+i] = l
 		}
 	}
-	return NewRegioned(sites, lat, bw, regionOf)
+	t, err := newFlat(sites, lat, bw)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.partition(regionOf); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // ClusterRegions partitions an arbitrary topology into k latency

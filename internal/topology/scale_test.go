@@ -2,6 +2,7 @@ package topology
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -170,16 +171,7 @@ func TestNewRegionedValidation(t *testing.T) {
 	base := Generate(DefaultGenConfig(1))
 	sites := base.Sites()
 	n := len(sites)
-	lat := make([][]time.Duration, n)
-	bw := make([][]Mbps, n)
-	for i := 0; i < n; i++ {
-		lat[i] = make([]time.Duration, n)
-		bw[i] = make([]Mbps, n)
-		for j := 0; j < n; j++ {
-			lat[i][j] = base.Latency(SiteID(i), SiteID(j))
-			bw[i][j] = base.BaseBandwidth(SiteID(i), SiteID(j))
-		}
-	}
+	lat, bw := denseMatrices(base)
 	mk := func(regionOf []RegionID) error {
 		_, err := NewRegioned(sites, lat, bw, regionOf)
 		return err
@@ -210,6 +202,42 @@ func TestNewRegionedValidation(t *testing.T) {
 	}
 	if top.NumRegions() != 4 {
 		t.Fatalf("NumRegions = %d, want 4", top.NumRegions())
+	}
+}
+
+// TestGenerateScaleAllocs pins the 1000-site generator to two flat link
+// matrices: at most 2 allocations per site and 16·n² + 200·n bytes. Per-row
+// matrix storage (two allocations per site on top of the site names)
+// fails it.
+func TestGenerateScaleAllocs(t *testing.T) {
+	cfg := DefaultScaleConfig(1, 50, 19)
+	n := cfg.Regions * (cfg.EdgePerRegion + 1)
+	generate := func() {
+		if _, err := GenerateScale(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(2, generate)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	generate()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if perSite := allocs / float64(n); perSite > 2 {
+		t.Errorf("GenerateScale(%d sites) makes %.0f allocations (%.2f per site), want <= 2 per site", n, allocs, perSite)
+	}
+	if limit := uint64(16*n*n + 200*n); bytes > limit {
+		t.Errorf("GenerateScale(%d sites) allocates %d B, want <= %d", n, bytes, limit)
+	}
+}
+
+func BenchmarkGenerateScale1000(b *testing.B) {
+	cfg := DefaultScaleConfig(1, 50, 19)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateScale(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -75,8 +75,10 @@ type RegionID int
 // from s2 to s1 (the paper notes diverse inbound/outbound bandwidth).
 type Topology struct {
 	sites []Site
-	lat   [][]time.Duration // lat[from][to]
-	bw    [][]Mbps          // bw[from][to], base capacity
+	// The link matrices are stored row-major in one block each: the
+	// from→to entry is at index from*N()+to.
+	lat []time.Duration // base latency
+	bw  []Mbps          // base capacity
 
 	// Region partition (planet-scale topologies only; nil when the
 	// topology is unregioned, e.g. the §8.2 testbed).
@@ -86,25 +88,40 @@ type Topology struct {
 
 // New assembles a topology from explicit matrices. Both matrices must be
 // n×n where n = len(sites). Diagonal entries describe intra-site links.
+// The rows are copied, so later edits to lat or bw do not reach the
+// topology.
 func New(sites []Site, lat [][]time.Duration, bw [][]Mbps) (*Topology, error) {
 	n := len(sites)
 	if len(lat) != n || len(bw) != n {
 		return nil, fmt.Errorf("topology: matrix size mismatch (n=%d, lat=%d, bw=%d)", n, len(lat), len(bw))
 	}
+	flatLat := make([]time.Duration, n*n)
+	flatBW := make([]Mbps, n*n)
 	for i := 0; i < n; i++ {
 		if len(lat[i]) != n || len(bw[i]) != n {
 			return nil, fmt.Errorf("topology: row %d size mismatch", i)
 		}
-		if sites[i].ID != SiteID(i) {
-			return nil, fmt.Errorf("topology: site %d has ID %d, want dense IDs", i, sites[i].ID)
+		copy(flatLat[i*n:], lat[i])
+		copy(flatBW[i*n:], bw[i])
+	}
+	return newFlat(sites, flatLat, flatBW)
+}
+
+// newFlat validates and wraps row-major n×n link matrices, taking
+// ownership of them. The generators fill these blocks directly.
+func newFlat(sites []Site, lat []time.Duration, bw []Mbps) (*Topology, error) {
+	n := len(sites)
+	for i, s := range sites {
+		if s.ID != SiteID(i) {
+			return nil, fmt.Errorf("topology: site %d has ID %d, want dense IDs", i, s.ID)
 		}
-		if sites[i].Slots < 0 {
+		if s.Slots < 0 {
 			return nil, fmt.Errorf("topology: site %d has negative slots", i)
 		}
-		for j := 0; j < n; j++ {
-			if bw[i][j] < 0 || lat[i][j] < 0 {
-				return nil, fmt.Errorf("topology: negative link property %d->%d", i, j)
-			}
+	}
+	for k := range lat {
+		if bw[k] < 0 || lat[k] < 0 {
+			return nil, fmt.Errorf("topology: negative link property %d->%d", k/n, k%n)
 		}
 	}
 	return &Topology{sites: sites, lat: lat, bw: bw}, nil
@@ -119,13 +136,22 @@ func NewRegioned(sites []Site, lat [][]time.Duration, bw [][]Mbps, regionOf []Re
 	if err != nil {
 		return nil, err
 	}
-	if len(regionOf) != len(sites) {
-		return nil, fmt.Errorf("topology: %d region assignments for %d sites", len(regionOf), len(sites))
+	if err := t.partition(append([]RegionID(nil), regionOf...)); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// partition validates regionOf and records it, taking ownership, with the
+// per-region member lists on t.
+func (t *Topology) partition(regionOf []RegionID) error {
+	if len(regionOf) != len(t.sites) {
+		return fmt.Errorf("topology: %d region assignments for %d sites", len(regionOf), len(t.sites))
 	}
 	nRegions := 0
 	for i, r := range regionOf {
 		if r < 0 {
-			return nil, fmt.Errorf("topology: site %d has negative region %d", i, r)
+			return fmt.Errorf("topology: site %d has negative region %d", i, r)
 		}
 		if int(r)+1 > nRegions {
 			nRegions = int(r) + 1
@@ -137,12 +163,12 @@ func NewRegioned(sites []Site, lat [][]time.Duration, bw [][]Mbps, regionOf []Re
 	}
 	for r, members := range regions {
 		if len(members) == 0 {
-			return nil, fmt.Errorf("topology: region %d is empty (IDs must be dense)", r)
+			return fmt.Errorf("topology: region %d is empty (IDs must be dense)", r)
 		}
 	}
-	t.regionOf = append([]RegionID(nil), regionOf...)
+	t.regionOf = regionOf
 	t.regions = regions
-	return t, nil
+	return nil
 }
 
 // N returns the number of sites.
@@ -203,12 +229,16 @@ func (t *Topology) TotalSlots() int {
 // Latency returns the one-way base latency from one site to another.
 //
 //waspvet:hotpath
-func (t *Topology) Latency(from, to SiteID) time.Duration { return t.lat[from][to] }
+func (t *Topology) Latency(from, to SiteID) time.Duration {
+	return t.lat[int(from)*len(t.sites)+int(to)]
+}
 
 // BaseBandwidth returns the unloaded capacity of the from→to link.
 //
 //waspvet:hotpath
-func (t *Topology) BaseBandwidth(from, to SiteID) Mbps { return t.bw[from][to] }
+func (t *Topology) BaseBandwidth(from, to SiteID) Mbps {
+	return t.bw[int(from)*len(t.sites)+int(to)]
+}
 
 // SitesOfKind returns the IDs of all sites of the given kind, ascending.
 func (t *Topology) SitesOfKind(k SiteKind) []SiteID {
@@ -235,6 +265,7 @@ const (
 // latency samples for a pair class, each sorted ascending — the raw series
 // behind the Figure 7 CDFs.
 func (t *Topology) LinkValues(class PairClass) (bws []Mbps, lats []time.Duration) {
+	n := len(t.sites)
 	for i := range t.sites {
 		for j := range t.sites {
 			if i == j {
@@ -244,8 +275,8 @@ func (t *Topology) LinkValues(class PairClass) (bws []Mbps, lats []time.Duration
 			if (class == DataCenterPair) != isDC {
 				continue
 			}
-			bws = append(bws, t.bw[i][j])
-			lats = append(lats, t.lat[i][j])
+			bws = append(bws, t.bw[i*n+j])
+			lats = append(lats, t.lat[i*n+j])
 		}
 	}
 	sort.Slice(bws, func(a, b int) bool { return bws[a] < bws[b] })
@@ -354,12 +385,8 @@ func GenerateWith(rng *rand.Rand, cfg GenConfig) *Topology {
 		})
 	}
 
-	lat := make([][]time.Duration, n)
-	bw := make([][]Mbps, n)
-	for i := range lat {
-		lat[i] = make([]time.Duration, n)
-		bw[i] = make([]Mbps, n)
-	}
+	lat := make([]time.Duration, n*n)
+	bw := make([]Mbps, n*n)
 	uniformDur := func(lo, hi time.Duration) time.Duration {
 		if hi <= lo {
 			return lo
@@ -376,8 +403,8 @@ func GenerateWith(rng *rand.Rand, cfg GenConfig) *Topology {
 		return 1 + (rng.Float64()*2-1)*cfg.AsymmetryMax
 	}
 	for i := 0; i < n; i++ {
-		lat[i][i] = cfg.IntraSiteLat
-		bw[i][i] = cfg.IntraSiteBW
+		lat[i*n+i] = cfg.IntraSiteLat
+		bw[i*n+i] = cfg.IntraSiteBW
 		for j := i + 1; j < n; j++ {
 			dcPair := sites[i].Kind == DataCenter && sites[j].Kind == DataCenter
 			var b Mbps
@@ -389,19 +416,19 @@ func GenerateWith(rng *rand.Rand, cfg GenConfig) *Topology {
 				b = uniformBW(cfg.EdgeBWMin, cfg.EdgeBWMax)
 				l = uniformDur(cfg.EdgeLatMin, cfg.EdgeLatMax)
 			}
-			bw[i][j] = b
-			lat[i][j] = l
+			bw[i*n+j] = b
+			lat[i*n+j] = l
 			// Reverse direction: correlated but asymmetric.
 			rb := Mbps(float64(b) * asym())
 			if rb < 0.1 {
 				rb = 0.1
 			}
-			bw[j][i] = rb
-			lat[j][i] = l // propagation delay is symmetric
+			bw[j*n+i] = rb
+			lat[j*n+i] = l // propagation delay is symmetric
 		}
 	}
 
-	t, err := New(sites, lat, bw)
+	t, err := newFlat(sites, lat, bw)
 	if err != nil {
 		panic(fmt.Sprintf("topology: generator produced invalid topology: %v", err))
 	}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -151,6 +152,64 @@ func TestNewValidation(t *testing.T) {
 	neg := []Site{{ID: 0, Name: "a", Kind: Edge, Slots: -1}}
 	if _, err := New(neg, okLat, okBW); err == nil {
 		t.Fatal("New accepted negative slots")
+	}
+
+	base := testTopology(t)
+	for _, tc := range []struct {
+		name string
+		edit func(lat [][]time.Duration, bw [][]Mbps)
+		want string // substring of the error
+	}{
+		{"negative latency at (3, 5)", func(lat [][]time.Duration, _ [][]Mbps) { lat[3][5] = -time.Millisecond }, "3->5"},
+		{"negative bandwidth at (3, 5)", func(_ [][]time.Duration, bw [][]Mbps) { bw[3][5] = -1 }, "3->5"},
+		{"short latency row", func(lat [][]time.Duration, _ [][]Mbps) { lat[4] = lat[4][:len(lat[4])-1] }, "row 4"},
+		{"short bandwidth row", func(_ [][]time.Duration, bw [][]Mbps) { bw[7] = bw[7][:3] }, "row 7"},
+	} {
+		lat, bw := denseMatrices(base)
+		tc.edit(lat, bw)
+		_, err := New(base.Sites(), lat, bw)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// denseMatrices copies top's link values into fresh nested matrices.
+func denseMatrices(top *Topology) ([][]time.Duration, [][]Mbps) {
+	n := top.N()
+	lat := make([][]time.Duration, n)
+	bw := make([][]Mbps, n)
+	for i := 0; i < n; i++ {
+		lat[i] = make([]time.Duration, n)
+		bw[i] = make([]Mbps, n)
+		for j := 0; j < n; j++ {
+			lat[i][j] = top.Latency(SiteID(i), SiteID(j))
+			bw[i][j] = top.BaseBandwidth(SiteID(i), SiteID(j))
+		}
+	}
+	return lat, bw
+}
+
+func TestNewCopiesMatrices(t *testing.T) {
+	base := testTopology(t)
+	lat, bw := denseMatrices(base)
+	top, err := New(base.Sites(), lat, bw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range lat {
+		for j := range lat[i] {
+			lat[i][j] = time.Hour
+			bw[i][j] = -1
+		}
+	}
+	for i := 0; i < top.N(); i++ {
+		for j := 0; j < top.N(); j++ {
+			from, to := SiteID(i), SiteID(j)
+			if top.Latency(from, to) != base.Latency(from, to) || top.BaseBandwidth(from, to) != base.BaseBandwidth(from, to) {
+				t.Fatalf("caller's edit to %d->%d reached the topology", i, j)
+			}
+		}
 	}
 }
 
